@@ -68,7 +68,6 @@ from .ranking import (
     rank_baseline,
     rank_with_context,
 )
-from .similarity import cosine_sim, l2_normalize, sim_matrix
 from .simulator import SimConfig, SimWorld, generate_world, split_queries
 from .storage import (
     AnnotationError,
@@ -117,7 +116,6 @@ __all__ = [
     "cmc_curve",
     "co_occurrence_score",
     "context_score",
-    "cosine_sim",
     "cross_entropy",
     "detection_loss",
     "distill_train",
@@ -127,7 +125,6 @@ __all__ = [
     "generate_world",
     "grad_check",
     "iou",
-    "l2_normalize",
     "load_annotations",
     "load_features",
     "load_world",
@@ -142,7 +139,6 @@ __all__ = [
     "save_features",
     "save_world",
     "scale_dims",
-    "sim_matrix",
     "smooth_l1",
     "split_queries",
     "total_loss",

@@ -42,6 +42,14 @@ def _context_params(args: argparse.Namespace) -> ContextParams:
     return ContextParams(weight=args.lam, gate_threshold=args.threshold_b)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1; errors name the flag."""
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_world_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--annotations", required=True, help="scene annotation file (JSON lines)")
     p.add_argument("--features", required=True, help="binary feature file")
@@ -155,7 +163,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         if not queries:
             raise ValueError("no query retains a gallery positive after subsampling")
     ranker = "rcp" if args.rcp else "baseline"
-    cfg = MatchConfig(iou_threshold=args.iou_thresh, fg_score_threshold=args.fg_thresh)
+    cfg = MatchConfig(iou_threshold=args.iou_thresh)
     result = evaluate(
         queries, gallery, ranker=ranker, params=_context_params(args), cfg=cfg, k_max=10
     )
@@ -276,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-scene", required=True)
     p.add_argument("--query-index", type=int, required=True)
     _add_ranking_args(p)
-    p.add_argument("--topk", type=int, default=10)
+    p.add_argument("--topk", type=_positive_int, default=10)
     p.add_argument("--baseline", action="store_true", help="disable context re-ranking")
     p.set_defaults(func=_cmd_search)
 
@@ -287,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rcp", action="store_true", help="use context re-ranking")
     _add_ranking_args(p)
     p.add_argument("--iou-thresh", type=float, default=0.5)
-    p.add_argument("--fg-thresh", type=float, default=0.5)
     p.add_argument(
-        "--gallery-size", type=int, default=None,
+        "--gallery-size", type=_positive_int, default=None,
         help="subsample the gallery to this many scenes",
     )
     p.set_defaults(func=_cmd_evaluate)

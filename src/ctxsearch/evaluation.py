@@ -20,8 +20,9 @@ GtBox = tuple[str, BoxGeom]
 class MatchConfig:
     """Detection acceptance thresholds.
 
-    Predictions scoring below ``fg_score_threshold`` are discarded; a match
-    requires IoU strictly greater than ``iou_threshold``.
+    ``match_detections`` discards predictions scoring below
+    ``fg_score_threshold``; a match requires IoU strictly greater than
+    ``iou_threshold``.  ``evaluate`` reads only ``iou_threshold``.
     """
 
     iou_threshold: float = 0.5
@@ -99,8 +100,8 @@ def _walk_ranked(
 
     Each positive can be claimed once; a candidate is a true positive when it
     overlaps an unclaimed positive of its own scene with IoU above threshold.
-    Returns the precision at each true positive plus the first hit's 1-based
-    rank.
+    The walk stops once every positive is claimed.  Returns the precision at
+    each true positive plus the first hit's 1-based rank.
     """
     claimed = [False] * len(gt_positives)
     precisions: list[float] = []
@@ -119,7 +120,28 @@ def _walk_ranked(
             precisions.append((len(precisions) + 1) / rank)
             if first_hit is None:
                 first_hit = rank
+            if len(precisions) == len(gt_positives):
+                break  # every positive is claimed; no later candidate can be a hit
     return precisions, first_hit
+
+
+def _query_eval(
+    precisions: Sequence[float], first_hit: Optional[int], n_positives: int
+) -> QueryEval:
+    """Recall-scaled AP from the precisions at each true positive."""
+    if not precisions:
+        return QueryEval(0.0, 0.0, first_hit)
+    recall = len(precisions) / n_positives
+    return QueryEval((math.fsum(precisions) / len(precisions)) * recall, recall, first_hit)
+
+
+def _cmc(first_hits: Sequence[Optional[int]], k_max: int) -> np.ndarray:
+    """cmc[k-1] = fraction of queries whose first hit is at rank k or better."""
+    counts = np.zeros(k_max)
+    for first_hit in first_hits:
+        if first_hit is not None and first_hit <= k_max:
+            counts[first_hit - 1 :] += 1.0
+    return counts / max(1, len(first_hits))
 
 
 def average_precision(
@@ -134,11 +156,9 @@ def average_precision(
     """
     if not gt_positives:
         raise ValueError("query has no ground-truth positives")
-    precisions, _ = _walk_ranked(ranked, gt_positives, cfg.iou_threshold)
-    if not precisions:
-        return 0.0, 0.0
-    recall = len(precisions) / len(gt_positives)
-    return (math.fsum(precisions) / len(precisions)) * recall, recall
+    walk = _walk_ranked(ranked, gt_positives, cfg.iou_threshold)
+    q = _query_eval(*walk, len(gt_positives))
+    return q.ap, q.recall
 
 
 def cmc_curve(
@@ -153,12 +173,11 @@ def cmc_curve(
         raise ValueError("k_max must be >= 1")
     if len(ranked_lists) != len(gt_positive_lists):
         raise ValueError("one ground-truth list per ranked list required")
-    counts = np.zeros(k_max)
-    for ranked, gt in zip(ranked_lists, gt_positive_lists):
-        _, first_hit = _walk_ranked(ranked, gt, cfg.iou_threshold)
-        if first_hit is not None and first_hit <= k_max:
-            counts[first_hit - 1 :] += 1.0
-    return counts / max(1, len(ranked_lists))
+    first_hits = [
+        _walk_ranked(ranked, gt, cfg.iou_threshold)[1]
+        for ranked, gt in zip(ranked_lists, gt_positive_lists)
+    ]
+    return _cmc(first_hits, k_max)
 
 
 def gallery_positives(
@@ -189,7 +208,8 @@ def evaluate(
     recall-scaled AP per query, and aggregates mAP plus the CMC curve.  The
     query's own scene never contributes candidates or positives; a query whose
     identity has no gallery positives is rejected up front rather than
-    scored 0.
+    scored 0.  Of ``cfg`` only ``iou_threshold`` is read;
+    ``fg_score_threshold`` applies to ``match_detections`` alone.
     """
     if ranker not in ("baseline", "rcp"):
         raise ValueError(f"unknown ranker {ranker!r}")
@@ -209,18 +229,8 @@ def evaluate(
             ranked = rank_baseline(query, gallery)
         else:
             ranked = rank_with_context(query, gallery, params)
-        precisions, first_hit = _walk_ranked(ranked, gt, cfg.iou_threshold)
-        if precisions:
-            recall = len(precisions) / len(gt)
-            ap = (math.fsum(precisions) / len(precisions)) * recall
-        else:
-            recall = 0.0
-            ap = 0.0
-        evals.append(QueryEval(ap, recall, first_hit))
+        walk = _walk_ranked(ranked, gt, cfg.iou_threshold)
+        evals.append(_query_eval(*walk, len(gt)))
     mean_ap = math.fsum(q.ap for q in evals) / len(evals)
-    cmc = np.zeros(k_max)
-    for q in evals:
-        if q.first_hit_rank is not None and q.first_hit_rank <= k_max:
-            cmc[q.first_hit_rank - 1 :] += 1.0
-    cmc /= len(evals)
+    cmc = _cmc([q.first_hit_rank for q in evals], k_max)
     return EvalResult(mean_ap, cmc, tuple(evals))

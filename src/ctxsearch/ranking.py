@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .model import GalleryEntry, GalleryIndex, QuerySpec
 class ContextParams:
     """Tuning knobs for context re-ranking (CLI: --lambda and --threshold-b).
 
-    ``weight`` blends the context score into the final score; 0 disables the
-    context term entirely and reproduces the baseline ordering.
+    ``weight`` blends the context score into the final score; 0 leaves it out
+    of the final score and reproduces the baseline ordering.
     ``gate_threshold`` is the minimum best-match similarity for a context
     person to contribute (inclusive).
     """
@@ -34,7 +34,7 @@ class ContextParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.weight < 1.0:
             raise ValueError(f"weight must lie in [0, 1), got {self.weight}")
-        if self.gate_threshold < 0.0:
+        if not self.gate_threshold >= 0.0:  # also refuses NaN, which no gate compare passes
             raise ValueError(f"gate_threshold must be >= 0, got {self.gate_threshold}")
 
 
@@ -72,7 +72,7 @@ def co_occurrence_score(
     confidence threshold (inclusive), else 0.  Negative candidate similarities
     flow through unclamped.
     """
-    if gate_threshold < 0.0:
+    if not gate_threshold >= 0.0:
         raise ValueError("gate_threshold must be >= 0")
     if context_best_sim >= gate_threshold:
         return candidate_sim * context_best_sim
@@ -105,65 +105,55 @@ def context_score(
     return total
 
 
-def _check_query(query: QuerySpec, gallery: GalleryIndex) -> None:
+def _rank(
+    query: QuerySpec, gallery: GalleryIndex, params: Optional[ContextParams]
+) -> RankedList:
+    """Score every entry outside the query's scene, best final score first.
+
+    Without ``params`` there is no context term: s_context is 0 and s_final is
+    s_individual itself.  With them, each candidate's context score is computed
+    within its own scene, with the candidate itself removed from the pool.
+    """
     if not query.embedding.normalized:
         raise ValueError("query embedding must be normalized")
     if gallery.entries and query.embedding.dim != gallery.dim:
         raise ValueError(f"dimension mismatch: query {query.embedding.dim} vs gallery {gallery.dim}")
-
-
-def rank_baseline(query: QuerySpec, gallery: GalleryIndex) -> RankedList:
-    """Rank gallery detections by cosine similarity to the query alone.
-
-    Entries from the query's own scene are excluded from the candidate pool.
-    """
-    _check_query(query, gallery)
-    cands = []
-    for idx, entry in enumerate(gallery.entries):
-        if entry.scene_id == query.scene_id:
-            continue
-        s = float(np.dot(query.embedding.values, entry.embedding.values))
-        cands.append(ScoredCandidate(idx, entry, s, 0.0, s))
-    cands.sort(key=lambda c: (-c.s_final, c.index))
-    return RankedList(query, tuple(cands))
-
-
-def rank_with_context(
-    query: QuerySpec,
-    gallery: GalleryIndex,
-    params: ContextParams = ContextParams(),
-    scene_best_only: bool = False,
-) -> RankedList:
-    """Rank gallery detections by individual similarity plus weighted context
-    evidence: s_final = s_individual + weight * s_context.
-
-    Every candidate's context score is computed within its own scene, with the
-    candidate itself removed from the matching pool.  By default every
-    detection receives a context score; ``scene_best_only`` restricts it to
-    each scene's best individual match (the stricter reading), leaving the
-    other detections with their individual score alone.  Entries from the
-    query's own scene are excluded.
-    """
-    _check_query(query, gallery)
     cands = []
     for scene_id, indices in gallery.scene_map.items():
         if scene_id == query.scene_id:
             continue
-        entries = [(i, gallery.entries[i]) for i in indices]
-        sims = [
-            (i, e, float(np.dot(query.embedding.values, e.embedding.values)))
-            for i, e in entries
-        ]
-        best_pos = None
-        if scene_best_only and sims:
-            best_pos = max(range(len(sims)), key=lambda p: (sims[p][2], -sims[p][0]))
-        for pos, (i, entry, s_ind) in enumerate(sims):
-            if best_pos is None or pos == best_pos:
-                pool = [other for j, other in entries if j != i]
-                s_ctx = context_score(query, entry, pool, params)
+        scene = [(i, gallery.entries[i]) for i in indices]
+        for i, entry in scene:
+            s_ind = float(np.dot(query.embedding.values, entry.embedding.values))
+            if params is None:
+                s_ctx, s_final = 0.0, s_ind
             else:
-                s_ctx = 0.0
-            s_final = s_ind + params.weight * s_ctx
+                pool = [other for j, other in scene if j != i]
+                s_ctx = context_score(query, entry, pool, params)
+                s_final = s_ind + params.weight * s_ctx
             cands.append(ScoredCandidate(i, entry, s_ind, s_ctx, s_final))
     cands.sort(key=lambda c: (-c.s_final, c.index))
     return RankedList(query, tuple(cands))
+
+
+def rank_baseline(query: QuerySpec, gallery: GalleryIndex) -> RankedList:
+    """Rank gallery detections by cosine similarity to the query alone: the
+    context ranker without its context term.
+
+    Entries from the query's own scene are excluded from the candidate pool.
+    """
+    return _rank(query, gallery, None)
+
+
+def rank_with_context(
+    query: QuerySpec, gallery: GalleryIndex, params: ContextParams = ContextParams()
+) -> RankedList:
+    """Rank gallery detections by individual similarity plus weighted context
+    evidence: s_final = s_individual + weight * s_context.
+
+    Every detection receives a context score, computed within its own scene
+    with the candidate itself removed from the matching pool; at weight 0 the
+    score is still computed and reported.  Entries from the query's own scene
+    are excluded.
+    """
+    return _rank(query, gallery, params)

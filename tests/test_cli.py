@@ -122,6 +122,17 @@ class TestSearch:
         baseline = rank_entries(capsys.readouterr().out)
         assert zero_weight == baseline
 
+    @pytest.mark.parametrize("topk", ["0", "-1"])
+    def test_topk_below_one_rejected(self, world_dir, capsys, topk):
+        rc = main(
+            ["search"] + world_args(world_dir)
+            + ["--query-scene", "scene_0003", "--query-index", "0", "--topk", topk]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--topk" in captured.err
+        assert "RANK " not in captured.out
+
     def test_unknown_scene_fails(self, world_dir, capsys):
         rc = main(
             ["search"] + world_args(world_dir)
@@ -161,6 +172,28 @@ class TestEvaluate:
         line = result_line(capsys.readouterr().out)
         assert "n_gallery_scenes=6" in line
         assert "n_skipped=" in line
+
+
+    @pytest.mark.parametrize("size", ["0", "-2", "two"])
+    def test_gallery_size_below_one_rejected(self, world_dir, capsys, size):
+        args = ["evaluate"] + world_args(world_dir) + ["--seed", "11", "--gallery-size", size]
+        rc = main(args)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--gallery-size" in captured.err
+
+    def test_nan_gate_rejected(self, world_dir, capsys):
+        args = ["evaluate"] + world_args(world_dir) + ["--seed", "11", "--n-queries", "5"]
+        rc = main(args + ["--rcp", "--threshold-b", "nan"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "gate_threshold" in captured.err
+        assert "RESULT" not in captured.out
+
+    def test_fg_thresh_removed(self, world_dir, capsys):
+        args = ["evaluate"] + world_args(world_dir) + ["--seed", "11", "--fg-thresh", "0.9"]
+        assert main(args) == 2
+        assert "--fg-thresh" in capsys.readouterr().err
 
 
 class TestDistillCheck:
@@ -243,13 +276,22 @@ class TestMainEntry:
         assert rc == 0
 
     def test_module_entry_point(self, world_dir):
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import ctxsearch
+
+        # the child finds the package where this process found it, installed or not
+        src = str(Path(ctxsearch.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "ctxsearch.cli", "build-gallery"] + world_args(world_dir),
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "RESULT" in proc.stdout

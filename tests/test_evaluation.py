@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ctxsearch import evaluation
 from ctxsearch.evaluation import (
     MatchConfig,
     average_precision,
@@ -19,7 +20,7 @@ from ctxsearch.model import (
     SceneRecord,
     build_gallery,
 )
-from ctxsearch.ranking import rank_baseline
+from ctxsearch.ranking import RankedList, rank_baseline
 
 
 def emb(*vals):
@@ -145,6 +146,34 @@ class TestAveragePrecision:
         q = QuerySpec("q", det(0, person_id=7), emb(1.0, 0.0))
         gt = [("other_scene", BoxGeom(0, 0, 5, 5))]
         assert average_precision(rank_baseline(q, gallery), gt, MatchConfig()) == (0.0, 0.0)
+
+
+    def test_walk_stops_at_last_true_match(self, monkeypatch):
+        # query 1 claims both of its positives by rank 3 of 9
+        queries, gallery = three_query_world()
+        ranked = rank_baseline(queries[0], gallery)
+        rank_of = {id(c.entry.detection.box): k for k, c in enumerate(ranked.candidates, 1)}
+        iou_ranks, read_ranks = [], []
+
+        class RecordingCandidates(tuple):
+            def __iter__(self):
+                for k, c in enumerate(tuple.__iter__(self), 1):
+                    read_ranks.append(k)
+                    yield c
+
+        def counting_iou(a, b):
+            iou_ranks.append(rank_of[id(a)])
+            return real_iou(a, b)
+
+        real_iou = evaluation.iou
+        monkeypatch.setattr(evaluation, "iou", counting_iou)
+        recorded = RankedList(ranked.query, RecordingCandidates(ranked.candidates))
+        ap, recall = average_precision(recorded, gallery_positives(gallery, 1), MatchConfig())
+        assert ap == pytest.approx(5 / 6, abs=1e-12)
+        assert recall == 1.0
+        assert len(ranked.candidates) == 9
+        assert max(iou_ranks) == 3
+        assert max(read_ranks) == 3
 
 
 class TestCmcCurve:
