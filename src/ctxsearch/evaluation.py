@@ -215,6 +215,8 @@ def evaluate(
         raise ValueError(f"unknown ranker {ranker!r}")
     if not queries:
         raise ValueError("no queries given")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     cfg = cfg if cfg is not None else MatchConfig()
     params = params if params is not None else ContextParams()
     evals: list[QueryEval] = []

@@ -8,7 +8,7 @@ unlabeled person, which is never equal to any labeled identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -141,13 +141,36 @@ class GalleryEntry:
 class GalleryIndex:
     """Immutable store of gallery appearances, grouped by scene.
 
-    ``scene_map`` maps each scene id to the indices of that scene's entries
-    and partitions ``entries`` exactly.  Safe for concurrent reads once built.
+    ``scene_map`` maps each scene id to the indices of that scene's entries.
+    Invariant: its runs are consecutive and ascending, in map order, and
+    partition ``entries`` exactly, so each scene is the slice
+    ``[start, start + size)``.  Derived on construction: ``matrix``, the
+    C-contiguous (N, dim) float64 embedding rows in entry order, and
+    ``scene_starts`` / ``scene_sizes``, one int64 per scene in map order.
+    Safe for concurrent reads once built.
     """
 
     entries: tuple[GalleryEntry, ...]
     scene_map: dict[str, tuple[int, ...]]
     dim: int
+    matrix: np.ndarray = field(init=False, repr=False)
+    scene_starts: np.ndarray = field(init=False, repr=False)
+    scene_sizes: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        cursor = 0
+        for scene_id, indices in self.scene_map.items():
+            if indices != tuple(range(cursor, cursor + len(indices))):
+                raise ValueError(f"scene {scene_id!r}: entries are not the next consecutive run")
+            cursor += len(indices)
+        if cursor != len(self.entries):
+            raise ValueError(f"scene_map covers {cursor} of {len(self.entries)} entries")
+        matrix = np.array([e.embedding.values for e in self.entries], dtype=np.float64)
+        matrix = matrix.reshape(len(self.entries), self.dim)
+        sizes = np.fromiter(map(len, self.scene_map.values()), np.int64, len(self.scene_map))
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "scene_sizes", sizes)
+        object.__setattr__(self, "scene_starts", np.cumsum(sizes) - sizes)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -9,7 +9,6 @@ match, gated to zero when that best match is not confident enough.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -79,6 +78,32 @@ def co_occurrence_score(
     return 0.0
 
 
+def _pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) matrix of the dot products of the rows of ``a`` and ``b``.
+
+    Each element is one 1 x d by d x 1 matmul, for which numpy calls the
+    dtype's dot function, the one ``np.dot`` runs on two 1-D vectors, so every
+    element is bitwise equal to ``float(np.dot(a[i], b[j]))``.  ``b @ a[i]``
+    would not be: it goes through gemv, whose blocked sums differ in the last
+    bit (up to 2.2e-16 on unit vectors).
+    """
+    return np.matmul(a[:, None, None, :], b[None, :, :, None])[:, :, 0, 0]
+
+
+def _context_sum(s_ind: np.ndarray, best: np.ndarray, gate_threshold: float) -> np.ndarray:
+    """Gated co-occurrence evidence per candidate: ``co_occurrence_score``
+    elementwise, summed over the context persons (rows of ``best``) in
+    order, from 0.0.
+
+    A closed gate adds s_ind * 0.0, a signed zero, which leaves a sum that
+    starts at +0.0 bitwise unchanged, exactly as adding 0.0 would.
+    """
+    total = np.zeros_like(s_ind)
+    for row in best:
+        total += s_ind * np.where(row >= gate_threshold, row, 0.0)
+    return total
+
+
 def context_score(
     query: QuerySpec,
     candidate: GalleryEntry,
@@ -93,16 +118,28 @@ def context_score(
     """
     if not scene_pool or not query.context:
         return 0.0
-    s_qg = float(np.dot(query.embedding.values, candidate.embedding.values))
-    total = 0.0
-    for _, ctx_emb in query.context:
-        best = -math.inf
-        for other in scene_pool:
-            v = float(np.dot(ctx_emb.values, other.embedding.values))
-            if v > best:
-                best = v
-        total += co_occurrence_score(s_qg, best, params.gate_threshold)
-    return total
+    s_qg = _pair_dots(query.embedding.values[None], candidate.embedding.values[None])[0]
+    ctx = np.array([e.values for _, e in query.context])
+    pool = np.array([other.embedding.values for other in scene_pool])
+    best = _pair_dots(ctx, pool).max(axis=1, keepdims=True)
+    return float(_context_sum(s_qg, best, params.gate_threshold)[0])
+
+
+def _leave_one_out_best(sims: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """For each column, the row-wise best of ``sims`` over the other columns
+    of its scene; -inf when the scene has no other column.
+
+    ``starts``/``sizes`` cut the columns into consecutive non-empty scenes.
+    The best over a scene without column j is the scene's maximum, except
+    at the maximum's first position, where it is the maximum of the rest.
+    """
+    cols = np.arange(sims.shape[1])
+    first = np.maximum.reduceat(sims, starts, axis=1)
+    first_at = np.repeat(first, sizes, axis=1)
+    argmax = np.minimum.reduceat(np.where(sims == first_at, cols, cols.size), starts, axis=1)
+    own = cols == np.repeat(argmax, sizes, axis=1)
+    second = np.maximum.reduceat(np.where(own, -np.inf, sims), starts, axis=1)
+    return np.where(own, np.repeat(second, sizes, axis=1), first_at)
 
 
 def _rank(
@@ -113,27 +150,40 @@ def _rank(
     Without ``params`` there is no context term: s_context is 0 and s_final is
     s_individual itself.  With them, each candidate's context score is computed
     within its own scene, with the candidate itself removed from the pool.
+    All scores come from whole-gallery array operations, each value bitwise
+    equal to a scalar loop of per-pair ``np.dot`` calls and gated products.
     """
     if not query.embedding.normalized:
         raise ValueError("query embedding must be normalized")
     if gallery.entries and query.embedding.dim != gallery.dim:
         raise ValueError(f"dimension mismatch: query {query.embedding.dim} vs gallery {gallery.dim}")
-    cands = []
-    for scene_id, indices in gallery.scene_map.items():
-        if scene_id == query.scene_id:
-            continue
-        scene = [(i, gallery.entries[i]) for i in indices]
-        for i, entry in scene:
-            s_ind = float(np.dot(query.embedding.values, entry.embedding.values))
-            if params is None:
-                s_ctx, s_final = 0.0, s_ind
-            else:
-                pool = [other for j, other in scene if j != i]
-                s_ctx = context_score(query, entry, pool, params)
-                s_final = s_ind + params.weight * s_ctx
-            cands.append(ScoredCandidate(i, entry, s_ind, s_ctx, s_final))
-    cands.sort(key=lambda c: (-c.s_final, c.index))
-    return RankedList(query, tuple(cands))
+    keep = np.ones(len(gallery), dtype=bool)
+    keep[list(gallery.scene_entries(query.scene_id))] = False
+    idx = np.flatnonzero(keep)
+    if not idx.size:
+        return RankedList(query, ())
+    s_ind = _pair_dots(query.embedding.values[None], gallery.matrix)[0]
+    ind = s_ind.tolist()
+    if params is None:
+        key, ctx, final = s_ind, [0.0] * len(ind), ind
+    else:
+        s_ctx = np.zeros_like(s_ind)
+        if query.context:
+            nonempty = gallery.scene_sizes > 0
+            best = _leave_one_out_best(
+                _pair_dots(np.array([e.values for _, e in query.context]), gallery.matrix),
+                gallery.scene_starts[nonempty],
+                gallery.scene_sizes[nonempty],
+            )
+            s_ctx = _context_sum(s_ind, best, params.gate_threshold)
+        key = s_ind + params.weight * s_ctx
+        ctx, final = s_ctx.tolist(), key.tolist()
+    order = idx[np.lexsort((idx, -key[idx]))].tolist()
+    entries = gallery.entries
+    return RankedList(
+        query,
+        tuple(ScoredCandidate(i, entries[i], ind[i], ctx[i], final[i]) for i in order),
+    )
 
 
 def rank_baseline(query: QuerySpec, gallery: GalleryIndex) -> RankedList:

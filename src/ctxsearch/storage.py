@@ -18,6 +18,7 @@ bit-exact, while float64 inputs are rounded on save.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,7 +68,7 @@ def _parse_scene(line: str) -> SceneRecord:
     height = obj["height"]
     if not isinstance(scene_id, str):
         raise ValueError("scene_id must be a string")
-    if not isinstance(width, int) or not isinstance(height, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (width, height)):
         raise ValueError("width and height must be integers")
     boxes = obj["boxes"]
     if not isinstance(boxes, list):
@@ -78,7 +79,7 @@ def _parse_scene(line: str) -> SceneRecord:
             box = BoxGeom(float(b["x1"]), float(b["y1"]), float(b["x2"]), float(b["y2"]))
             box = box.clip(width, height)
             pid = b["person_id"]
-            if pid is not None and not isinstance(pid, int):
+            if pid is not None and (not isinstance(pid, int) or isinstance(pid, bool)):
                 raise ValueError("person_id must be an integer or null")
             score = b["score"]
             dets.append(
@@ -184,16 +185,27 @@ def load_features(path) -> list[FeatureRecord]:
             raise FeatureFormatError(f"bad magic {magic!r}")
         if version != VERSION:
             raise FeatureFormatError(f"unsupported version {version}")
+        # Every record holds at least its id length, box and values, so a
+        # header that claims more than the file holds fails before any read.
+        left = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if count * (2 + 16 + 4 * dim) > left:
+            raise FeatureFormatError(
+                f"truncated file: header claims {count} records of dim {dim}, "
+                f"but only {left} bytes follow it"
+            )
         records: list[FeatureRecord] = []
         for k in range(count):
             (sid_len,) = struct.unpack("<H", _read_exact(fh, 2, f"record {k}"))
-            sid = _read_exact(fh, sid_len, f"record {k} scene id").decode("utf-8")
+            sid = _read_exact(fh, sid_len, f"record {k} scene id")
             coords = np.frombuffer(_read_exact(fh, 16, f"record {k} box"), dtype="<f4")
             values = np.frombuffer(
                 _read_exact(fh, 4 * dim, f"record {k} values"), dtype="<f4"
             ).copy()
-            box = BoxGeom(*(float(c) for c in coords))
-            records.append(FeatureRecord(sid, box, values))
+            try:  # UnicodeDecodeError is a ValueError too
+                box = BoxGeom(*(float(c) for c in coords))
+                records.append(FeatureRecord(sid.decode("utf-8"), box, values))
+            except ValueError as exc:
+                raise FeatureFormatError(f"record {k}: {exc}") from exc
         if fh.read(1):
             raise FeatureFormatError("trailing bytes after final record")
     return records

@@ -283,6 +283,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="absent"):
             evaluate([missing], gallery)
 
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_k_max_below_one_rejected(self, k_max):
+        # like cmc_curve: an empty CMC array is no curve at all
+        queries, gallery = three_query_world()
+        with pytest.raises(ValueError, match="k_max"):
+            evaluate(queries, gallery, k_max=k_max)
+
     def test_own_scene_positives_excluded(self):
         # the query scene holds a positive, but it must not count
         scenes = [

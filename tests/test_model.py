@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ctxsearch.model import (
     BoxGeom,
     EmbeddingVec,
+    GalleryIndex,
     PersonDetection,
     SceneRecord,
     build_gallery,
@@ -144,6 +145,27 @@ class TestBuildGallery:
         for e in g.entries:
             assert e.embedding.normalized
         np.testing.assert_allclose(g.entries[0].embedding.values, [1.0, 0.0, 0.0])
+
+    def test_matrix_and_scene_offsets(self):
+        scenes, embs = two_scene_world()
+        empty = SceneRecord("c", 100, 100, ())
+        g = build_gallery([scenes[0], empty, scenes[1]], embs)
+        assert g.matrix.dtype == np.float64 and g.matrix.flags.c_contiguous
+        assert g.matrix.shape == (3, 3)
+        for row, e in zip(g.matrix, g.entries):
+            np.testing.assert_array_equal(row, e.embedding.values)
+        assert g.scene_starts.tolist() == [0, 2, 2]
+        assert g.scene_sizes.tolist() == [2, 0, 1]
+        assert build_gallery([], [], dim=4).matrix.shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "scene_map",
+        [{"a": (1, 2), "b": (0,)}, {"a": (0, 2), "b": (1,)}, {"a": (0, 1)}, {"a": (0, 1, 2, 3)}],
+    )
+    def test_scene_map_must_be_consecutive_runs(self, scene_map):
+        g = build_gallery(*two_scene_world())
+        with pytest.raises(ValueError, match="consecutive|covers"):
+            GalleryIndex(g.entries, scene_map, g.dim)
 
     def test_count_mismatch(self):
         scenes, embs = two_scene_world()

@@ -17,13 +17,20 @@ from ctxsearch.model import (
 )
 from ctxsearch.ranking import (
     ContextParams,
+    _pair_dots,
     co_occurrence_score,
     context_score,
     rank_baseline,
     rank_with_context,
 )
 
-from conftest import oracle_rank_with_context, random_instance
+from conftest import (
+    oracle_rank_baseline,
+    oracle_rank_with_context,
+    random_box,
+    random_instance,
+    unit_embedding,
+)
 
 
 def emb(*vals):
@@ -292,3 +299,153 @@ class TestRankWithContext:
         for c in hi.candidates:
             if c.s_individual >= 0.0:
                 assert c.s_context <= ctx_lo[c.index] + 1e-12
+
+
+class TestPairDots:
+    @pytest.mark.parametrize("dim", [1, 8, 64, 300])
+    def test_bitwise_equal_to_np_dot(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(5, dim))
+        b = rng.normal(size=(40, dim))
+        got = _pair_dots(a, b)
+        assert got.shape == (5, 40)
+        for i in range(5):
+            for j in range(40):
+                assert got[i, j] == float(np.dot(a[i], b[j]))
+
+
+def assert_matches_oracles(q, gallery, params):
+    """Both rankers against the scalar references, bit for bit."""
+    base = rank_baseline(q, gallery).candidates
+    assert [(c.index, c.s_final) for c in base] == oracle_rank_baseline(q, gallery)
+    for c in base:
+        assert c.s_context == 0.0 and c.s_final is c.s_individual
+    got = rank_with_context(q, gallery, params).candidates
+    want = oracle_rank_with_context(q, gallery, params)
+    assert [(c.index, c.s_individual, c.s_context, c.s_final) for c in got] == want
+    return got
+
+
+def sized_world(rng, sizes, dim=6):
+    """A gallery whose scenes have the given detection counts (0 allowed)."""
+    scenes = [
+        SceneRecord(f"s{k}", 960, 540, tuple(PersonDetection(random_box(rng)) for _ in range(n)))
+        for k, n in enumerate(sizes)
+    ]
+    return scenes, [unit_embedding(rng, dim) for _ in range(sum(sizes))]
+
+
+def held_out_query(rng, n_persons, dim=6):
+    dets = tuple(PersonDetection(random_box(rng)) for _ in range(n_persons))
+    scene = SceneRecord("held_out", 960, 540, dets)
+    return make_query(scene, 0, [unit_embedding(rng, dim) for _ in range(n_persons)])
+
+
+class TestBatchedScorerEdgeCases:
+    params = ContextParams(weight=0.5, gate_threshold=0.0)
+
+    @pytest.mark.parametrize("sizes", [[0, 3, 2], [3, 0, 2], [3, 2, 0], [0, 0, 4, 0]])
+    def test_scene_without_detections(self, sizes):
+        rng = np.random.default_rng(sum(i * n for i, n in enumerate(sizes)))
+        gallery = build_gallery(*sized_world(rng, sizes))
+        got = assert_matches_oracles(held_out_query(rng, 3), gallery, self.params)
+        assert len(got) == sum(sizes)
+
+    def test_single_entry_scenes_have_no_context(self):
+        rng = np.random.default_rng(3)
+        gallery = build_gallery(*sized_world(rng, [1, 3, 1, 1, 2]))
+        got = assert_matches_oracles(held_out_query(rng, 4), gallery, self.params)
+        lone = [c for c in got if len(gallery.scene_entries(c.entry.scene_id)) == 1]
+        assert len(lone) == 3
+        for c in lone:
+            assert c.s_context == 0.0
+
+    @pytest.mark.parametrize("query_scene", [0, 2, 3])
+    def test_query_scene_inside_gallery(self, query_scene):
+        rng = np.random.default_rng(query_scene)
+        scenes, embs = sized_world(rng, [3, 2, 4, 1])
+        gallery = build_gallery(scenes, embs)
+        start = sum(len(s.detections) for s in scenes[:query_scene])
+        scene = scenes[query_scene]
+        q = make_query(scene, 0, embs[start : start + len(scene.detections)])
+        got = assert_matches_oracles(q, gallery, self.params)
+        assert {c.entry.scene_id for c in got} == {s.scene_id for s in scenes} - {scene.scene_id}
+
+    def test_query_scene_outside_gallery(self):
+        rng = np.random.default_rng(5)
+        gallery = build_gallery(*sized_world(rng, [3, 2, 4, 1]))
+        got = assert_matches_oracles(held_out_query(rng, 2), gallery, self.params)
+        assert len(got) == len(gallery)
+
+    def test_query_without_context(self):
+        rng = np.random.default_rng(6)
+        gallery = build_gallery(*sized_world(rng, [3, 2, 4]))
+        q = held_out_query(rng, 1)
+        assert q.n_context == 0
+        for c in assert_matches_oracles(q, gallery, self.params):
+            assert c.s_context == 0.0
+
+    def test_tied_scene_maxima_and_tied_final_scores(self):
+        # two copies of one scene: every final score is tied with its twin,
+        # and each context person's best match occurs twice within a scene
+        rng = np.random.default_rng(8)
+        scenes, embs = sized_world(rng, [3])
+        twin = SceneRecord("twin", 960, 540, scenes[0].detections)
+        dup = [embs[0], embs[0], embs[1]]
+        gallery = build_gallery([scenes[0], twin], dup + dup)
+        q = held_out_query(rng, 3)
+        q = QuerySpec(q.scene_id, q.detection, q.embedding,
+                      tuple((d, embs[0]) for d, _ in q.context))
+        got = assert_matches_oracles(q, gallery, self.params)
+        pos = {c.index: k for k, c in enumerate(got)}
+        for i in range(3):
+            assert pos[i] < pos[i + 3]  # twins tie; the lower index leads
+            assert got[pos[i]].s_final == got[pos[i + 3]].s_final
+        # the entry holding a scene's first maximum still finds its copy
+        assert got[pos[0]].s_context == got[pos[1]].s_context != 0.0
+
+    @pytest.mark.parametrize("sizes", [[], [0], [0, 0]])
+    def test_empty_gallery(self, sizes):
+        rng = np.random.default_rng(7)
+        scenes, embs = sized_world(rng, sizes)
+        gallery = build_gallery(scenes, embs, dim=6)
+        q = held_out_query(rng, 3)
+        assert rank_baseline(q, gallery).candidates == ()
+        assert rank_with_context(q, gallery, self.params).candidates == ()
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_scene_order_changes_only_indices(seed):
+    """Building the gallery from permuted scenes moves entries, not scores."""
+    rng = np.random.default_rng(seed)
+    q, gallery = random_instance(rng)
+    scenes = {}
+    embs = {}
+    for scene_id, indices in gallery.scene_map.items():
+        scenes[scene_id] = SceneRecord(
+            scene_id, 960, 540, tuple(gallery.entries[i].detection for i in indices)
+        )
+        embs[scene_id] = [gallery.entries[i].embedding for i in indices]
+    order = [list(scenes)[k] for k in rng.permutation(len(scenes))]
+    permuted = build_gallery(
+        [scenes[s] for s in order], [e for s in order for e in embs[s]]
+    )
+    params = ContextParams(
+        weight=float(rng.uniform(0.0, 0.99)), gate_threshold=float(rng.uniform(0.0, 1.0))
+    )
+
+    def key(c):
+        b = c.entry.detection.box
+        return (c.entry.scene_id, b.x1, b.y1, b.x2, b.y2)
+
+    for rank in (rank_baseline, lambda q_, g: rank_with_context(q_, g, params)):
+        before, after = rank(q, gallery).candidates, rank(q, permuted).candidates
+        scores = lambda cands: {  # noqa: E731
+            key(c): (c.s_individual, c.s_context, c.s_final) for c in cands
+        }
+        assert scores(before) == scores(after)
+        assert len(before) == len(after)
+        assert [(-c.s_final, c.index) for c in after] == sorted(
+            (-c.s_final, c.index) for c in after
+        )

@@ -114,6 +114,27 @@ class TestAnnotations:
         with pytest.raises(AnnotationError, match="duplicate"):
             load_annotations(path)
 
+    @pytest.mark.parametrize("key", ["width", "height"])
+    def test_boolean_canvas_size_rejected(self, tmp_path, key):
+        # JSON true/false load as Python bools, which are ints to isinstance
+        path = tmp_path / "scenes.jsonl"
+        save_annotations(path, sample_scenes()[:1])
+        record = {"scene_id": "s", "width": 100, "height": 100, "boxes": []}
+        record[key] = True
+        with open(path, "a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(AnnotationError, match="line 2.*integers"):
+            load_annotations(path)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_person_id_rejected(self, tmp_path, flag):
+        path = tmp_path / "scenes.jsonl"
+        box = {"x1": 0.0, "y1": 0.0, "x2": 10.0, "y2": 10.0, "person_id": flag, "score": None}
+        record = {"scene_id": "s", "width": 100, "height": 100, "boxes": [box]}
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(AnnotationError, match="line 1.*box 0.*person_id"):
+            load_annotations(path)
+
     def test_non_object_line(self, tmp_path):
         path = tmp_path / "scenes.jsonl"
         path.write_text("[1, 2]\n")
@@ -189,6 +210,57 @@ class TestFeatures:
         save_features(path, sample_records())
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FeatureFormatError, match="trailing"):
+            load_features(path)
+
+    @staticmethod
+    def raw_container(dim, count, *records):
+        return struct.pack("<4sIIQ", b"PSGF", 1, dim, count) + b"".join(records)
+
+    @staticmethod
+    def raw_record(sid, coords, values=()):
+        return (
+            struct.pack("<H", len(sid)) + sid
+            + struct.pack("<4f", *coords) + struct.pack(f"<{len(values)}f", *values)
+        )
+
+    def test_zero_dim_record_named(self, tmp_path):
+        path = tmp_path / "features.psgf"
+        path.write_bytes(self.raw_container(0, 1, self.raw_record(b"a", (0, 0, 1, 1))))
+        with pytest.raises(FeatureFormatError, match="record 0: .*non-empty"):
+            load_features(path)
+
+    def test_degenerate_box_record_named(self, tmp_path):
+        path = tmp_path / "features.psgf"
+        path.write_bytes(self.raw_container(
+            2, 2,
+            self.raw_record(b"a", (0, 0, 1, 1), (1.0, 0.0)),
+            self.raw_record(b"a", (5, 5, 5, 9), (1.0, 0.0)),
+        ))
+        with pytest.raises(FeatureFormatError, match="record 1: degenerate box"):
+            load_features(path)
+
+    def test_non_utf8_scene_id_record_named(self, tmp_path):
+        path = tmp_path / "features.psgf"
+        path.write_bytes(self.raw_container(1, 1, self.raw_record(b"\xff\xfe", (0, 0, 1, 1), (1.0,))))
+        with pytest.raises(FeatureFormatError, match="record 0: .*utf-8"):
+            load_features(path)
+
+    def test_header_bounded_by_file_size(self, tmp_path):
+        # a 20-byte file claiming one record of 2**32 - 1 floats (16 GiB) is
+        # refused from its header, before any record is read
+        path = tmp_path / "features.psgf"
+        path.write_bytes(self.raw_container(2**32 - 1, 1))
+        assert path.stat().st_size == 20
+        with pytest.raises(FeatureFormatError, match="header claims 1 records of dim 4294967295"):
+            load_features(path)
+
+    def test_header_count_bounded_by_file_size(self, tmp_path):
+        path = tmp_path / "features.psgf"
+        save_features(path, sample_records())
+        data = bytearray(path.read_bytes())
+        data[12:20] = struct.pack("<Q", 2**63)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FeatureFormatError, match="header claims"):
             load_features(path)
 
     def test_record_validation(self):
